@@ -1,9 +1,10 @@
 //! Figure-regeneration harness for the SENSS reproduction.
 //!
 //! One binary per paper figure/table lives in `src/bin/`; this library
-//! holds the shared machinery: building the three system flavours
-//! (insecure baseline, SENSS, SENSS + memory protection) over the five
-//! SPLASH-2-like workloads and formatting the result tables.
+//! holds the shared machinery: the environment knobs every figure
+//! honours, the sweep helpers that run the figure grids through
+//! `senss-harness` ([`sweeps`], [`backends`]) and the result-table
+//! formatting.
 //!
 //! The binaries intentionally print the *same rows/series* as the paper's
 //! figures so paper-vs-measured comparison is mechanical; see
@@ -16,9 +17,7 @@ pub mod backends;
 pub mod benchkit;
 pub mod sweeps;
 
-use senss::secure_bus::{SenssConfig, SenssExtension};
-use senss_memprot::{MemProtConfig, MemProtPolicy};
-use senss_sim::{NullExtension, Stats, System, SystemConfig};
+use senss_sim::Stats;
 use senss_workloads::Workload;
 
 /// Default operations per core for figure runs (override with the
@@ -112,49 +111,6 @@ impl RunEnv {
     }
 }
 
-/// One experimental point: a workload on a machine shape.
-#[derive(Debug, Clone, Copy)]
-pub struct Point {
-    /// The workload.
-    pub workload: Workload,
-    /// Processor count.
-    pub cores: usize,
-    /// L2 capacity in bytes.
-    pub l2: usize,
-}
-
-impl Point {
-    /// Creates a point.
-    pub fn new(workload: Workload, cores: usize, l2: usize) -> Point {
-        Point { workload, cores, l2 }
-    }
-
-    fn config(&self) -> SystemConfig {
-        SystemConfig::e6000(self.cores, self.l2)
-    }
-
-    fn traces(&self, ops: usize, seed: u64) -> Vec<senss_sim::trace::VecTrace> {
-        self.workload.generate(self.cores, ops, seed)
-    }
-
-    /// Runs the insecure baseline.
-    pub fn run_baseline(&self, ops: usize, seed: u64) -> Stats {
-        System::new(self.config(), self.traces(ops, seed), NullExtension).run()
-    }
-
-    /// Runs SENSS with the given security configuration.
-    pub fn run_senss(&self, ops: usize, seed: u64, cfg: SenssConfig) -> Stats {
-        System::new(self.config(), self.traces(ops, seed), SenssExtension::new(cfg)).run()
-    }
-
-    /// Runs SENSS plus the §6 memory-protection stack (Figure 10).
-    pub fn run_integrated(&self, ops: usize, seed: u64, cfg: SenssConfig) -> Stats {
-        let policy = MemProtPolicy::new(MemProtConfig::paper_default(self.cores));
-        let ext = SenssExtension::new(cfg).with_memory_protection(policy);
-        System::new(self.config(), self.traces(ops, seed), ext).run()
-    }
-}
-
 /// The paper's five workloads plus the derived "average" column.
 pub fn workload_columns() -> Vec<Workload> {
     Workload::all().to_vec()
@@ -237,10 +193,11 @@ mod tests {
 
     #[test]
     fn point_runs_all_three_flavours() {
-        let p = Point::new(Workload::Lu, 2, 1 << 20);
-        let base = p.run_baseline(1_500, 1);
-        let senss = p.run_senss(1_500, 1, SenssConfig::paper_default(2));
-        let integrated = p.run_integrated(1_500, 1, SenssConfig::paper_default(2));
+        use senss_harness::{JobSpec, SecurityMode};
+        let job = JobSpec::new(Workload::Lu, 2, 1 << 20).with_ops(1_500).with_seed(1);
+        let base = job.run();
+        let senss = job.with_mode(SecurityMode::senss()).run();
+        let integrated = job.with_mode(SecurityMode::integrated()).run();
         assert!(base.total_cycles > 0);
         // §7.8: timing perturbation may flip hit/miss patterns, so allow a
         // small negative slowdown; the integrated stack must still cost

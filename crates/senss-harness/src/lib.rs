@@ -35,7 +35,7 @@ pub mod spec;
 
 pub use cache::ResultCache;
 pub use executor::{Harness, HarnessConfig, JobError, JobFailure, SweepResult};
-pub use record::{decode_spec, encode_spec, RunRecord};
+pub use record::{decode_spec, encode_spec, RunRecord, MAX_CORES, MAX_L2_BYTES};
 pub use spec::{
     coherence_from_tag, coherence_tag, JobSpec, SecurityMode, SweepShard, SweepSpec, TraceCapture,
     TraceSpec, CACHE_FORMAT,

@@ -8,6 +8,7 @@
 
 use crate::json::Value;
 use crate::spec::JobSpec;
+use senss_sim::config::MIN_L2_BYTES;
 use senss_sim::Stats;
 
 /// Lists every scalar `u64` counter of [`Stats`] exactly once; the
@@ -114,15 +115,42 @@ pub fn encode_spec(spec: &JobSpec) -> Vec<(String, Value)> {
     fields
 }
 
+/// Largest processor count a decoded job may ask for: the width of the
+/// simulator's per-line sharer bitmask, and twice the largest machine
+/// any figure or benchmark simulates (32P).
+pub const MAX_CORES: usize = 64;
+
+/// Largest L2 capacity in bytes a decoded job may ask for: twice the
+/// paper's largest L2 (4 MiB). Every L2 slot is preallocated, so this
+/// caps one decoded job at roughly `MAX_CORES` × 2.2 MB of cache arrays.
+pub const MAX_L2_BYTES: usize = 8 << 20;
+
 /// Decodes a [`JobSpec`] from an object carrying the
 /// [`encode_spec`] fields. Returns `None` on any missing or
 /// unparseable field — callers treat that as a malformed frame.
+///
+/// The machine shape is bounded here, at the wire boundary, so a
+/// hostile frame cannot make the simulator preallocate unbounded cache
+/// arrays or hit a construction panic: `cores` must lie in
+/// `1..=`[`MAX_CORES`], `l2_bytes` must be a power of two in
+/// [`MIN_L2_BYTES`]`..=`[`MAX_L2_BYTES`], and the false-sharing
+/// micro-trace needs exactly 2 cores.
 pub fn decode_spec(obj: &Value) -> Option<JobSpec> {
     let uint = |key: &str| obj.get(key).and_then(Value::as_u64);
+    let trace = crate::spec::TraceSpec::from_tag(obj.get("trace")?.as_str()?)?;
+    let cores = usize::try_from(uint("cores")?).ok()?;
+    let l2_bytes = usize::try_from(uint("l2_bytes")?).ok()?;
+    if !(1..=MAX_CORES).contains(&cores)
+        || !(MIN_L2_BYTES..=MAX_L2_BYTES).contains(&l2_bytes)
+        || !l2_bytes.is_power_of_two()
+        || (trace == crate::spec::TraceSpec::FalseSharing && cores != 2)
+    {
+        return None;
+    }
     Some(JobSpec {
-        trace: crate::spec::TraceSpec::from_tag(obj.get("trace")?.as_str()?)?,
-        cores: uint("cores")? as usize,
-        l2_bytes: uint("l2_bytes")? as usize,
+        trace,
+        cores,
+        l2_bytes,
         coherence: crate::spec::coherence_from_tag(obj.get("coherence")?.as_str()?)?,
         mode: crate::spec::SecurityMode::from_tag(obj.get("mode")?.as_str()?)?,
         ops_per_core: uint("ops_per_core")? as usize,
@@ -133,9 +161,6 @@ pub fn decode_spec(obj: &Value) -> Option<JobSpec> {
             None => None,
             Some(v) => Some(crate::spec::TraceCapture::from_tag(v.as_str()?)?),
         },
-        // Not on the wire: the scheduler cannot change results, so
-        // decoded jobs run under the default (see `JobSpec::scheduler`).
-        scheduler: Default::default(),
     })
 }
 

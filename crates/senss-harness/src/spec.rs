@@ -20,10 +20,10 @@ use senss_backends::{
 };
 use senss_crypto::sha256::Sha256;
 use senss_memprot::{MemProtConfig, MemProtPolicy};
-use senss_sim::config::{CoherenceProtocol, SchedulerKind};
+use senss_sim::config::CoherenceProtocol;
 use senss_sim::trace::VecTrace;
 use senss_sim::{NullExtension, Stats, System, SystemConfig};
-use senss_trace::TraceSink;
+use senss_trace::{NullSink, TraceSink};
 use senss_workloads::{micro, Workload};
 
 /// Bumped whenever the meaning of cached results changes (simulator
@@ -377,11 +377,6 @@ pub struct JobSpec {
     /// [`canonical`](JobSpec::canonical)/the cache key: capture does not
     /// change the result, and cached stats stay valid either way.
     pub capture: Option<TraceCapture>,
-    /// Event-queue implementation to simulate with. Like `capture`, an
-    /// observation-side knob: every scheduler pops events in identical
-    /// order, so it is excluded from [`canonical`](JobSpec::canonical)
-    /// and the cache key — results are interchangeable across schedulers.
-    pub scheduler: SchedulerKind,
 }
 
 impl JobSpec {
@@ -397,7 +392,6 @@ impl JobSpec {
             ops_per_core: 10_000,
             seed: 42,
             capture: None,
-            scheduler: SchedulerKind::default(),
         }
     }
 
@@ -419,12 +413,6 @@ impl JobSpec {
         self
     }
 
-    /// Sets the event-queue implementation (see [`SchedulerKind`]).
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> JobSpec {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Sets the per-core operation count.
     pub fn with_ops(mut self, ops_per_core: usize) -> JobSpec {
         self.ops_per_core = ops_per_core;
@@ -439,9 +427,7 @@ impl JobSpec {
 
     /// The materialized architectural configuration.
     pub fn system_config(&self) -> SystemConfig {
-        SystemConfig::e6000(self.cores, self.l2_bytes)
-            .with_coherence(self.coherence)
-            .with_scheduler(self.scheduler)
+        SystemConfig::e6000(self.cores, self.l2_bytes).with_coherence(self.coherence)
     }
 
     /// Materializes the per-core traces this job simulates. Public so
@@ -469,11 +455,12 @@ impl JobSpec {
             .with_cipher(cipher)
     }
 
-    /// Builds the security extension for this job's mode, boxed so
-    /// checkpoint capture/restore paths handle every mode as one
-    /// concrete `System<Box<dyn Extension>>` type. Dynamic dispatch
-    /// changes no arithmetic: stats stay bit-identical to
-    /// [`run`](JobSpec::run).
+    /// Builds the security extension for this job's mode — the one
+    /// place a [`SecurityMode`] becomes an extension, so a new backend
+    /// is wired in here and nowhere else. Boxed so every mode shares one
+    /// concrete `System<Box<dyn Extension>>` type; dynamic dispatch
+    /// changes no arithmetic, so stats stay bit-identical to a
+    /// statically dispatched run.
     pub fn build_extension(&self) -> Box<dyn senss_sim::Extension> {
         match self.mode {
             SecurityMode::Baseline => Box::new(NullExtension),
@@ -511,7 +498,7 @@ impl JobSpec {
     /// point for checkpoint-aware execution ([`System::run_until`] /
     /// [`System::checkpoint_at`]).
     pub fn build_system(&self) -> System<Box<dyn senss_sim::Extension>> {
-        System::new(self.system_config(), self.traces(), self.build_extension())
+        self.build_system_with_sink(NullSink)
     }
 
     /// [`build_system`](JobSpec::build_system) with a live trace sink.
@@ -522,6 +509,28 @@ impl JobSpec {
         System::with_sink(self.system_config(), self.traces(), self.build_extension(), sink)
     }
 
+    /// Runs the job to completion, returning its stats, the number of
+    /// events the main loop dispatched and the sink.
+    ///
+    /// The baseline runs on a statically typed `System<NullExtension>`:
+    /// its hooks are empty, so virtual calls through the box are a
+    /// measurable share of its event cost. For every other mode they
+    /// are lost in the hooks' own work, so those modes run the boxed
+    /// system of [`build_system_with_sink`](JobSpec::build_system_with_sink).
+    fn simulate<S: TraceSink>(&self, sink: S) -> (Stats, u64, S) {
+        fn finish<E: senss_sim::Extension, S: TraceSink>(mut sys: System<E, S>) -> (Stats, u64, S) {
+            let stats = sys.run();
+            let events = sys.events_processed();
+            (stats, events, sys.into_sink())
+        }
+        if self.mode == SecurityMode::Baseline {
+            let sys = System::with_sink(self.system_config(), self.traces(), NullExtension, sink);
+            finish(sys)
+        } else {
+            finish(self.build_system_with_sink(sink))
+        }
+    }
+
     /// Executes the job synchronously, returning the run's [`Stats`].
     ///
     /// # Panics
@@ -529,57 +538,15 @@ impl JobSpec {
     /// Panics on invalid configurations (e.g. a non-power-of-two L2);
     /// the executor isolates such panics per job.
     pub fn run(&self) -> Stats {
-        self.run_counting().0
+        self.simulate(NullSink).0
     }
 
     /// Like [`run`](JobSpec::run), but also returns the number of events
     /// the simulator's main loop dispatched — the denominator the
     /// `sim_hotpath` micro-benchmark normalizes wall time by.
     pub fn run_counting(&self) -> (Stats, u64) {
-        fn finish<E: senss_sim::Extension>(mut sys: System<E>) -> (Stats, u64) {
-            let stats = sys.run();
-            let events = sys.events_processed();
-            (stats, events)
-        }
-        let cfg = self.system_config();
-        let traces = self.traces();
-        match self.mode {
-            SecurityMode::Baseline => finish(System::new(cfg, traces, NullExtension)),
-            SecurityMode::Senss {
-                masks,
-                auth_interval,
-                cipher,
-            } => {
-                let ext = SenssExtension::new(self.senss_config(masks, auth_interval, cipher));
-                finish(System::new(cfg, traces, ext))
-            }
-            SecurityMode::Integrated {
-                masks,
-                auth_interval,
-                cipher,
-            } => {
-                let policy = MemProtPolicy::new(MemProtConfig::paper_default(self.cores));
-                let ext = SenssExtension::new(self.senss_config(masks, auth_interval, cipher))
-                    .with_memory_protection(policy);
-                finish(System::new(cfg, traces, ext))
-            }
-            SecurityMode::Servas { masks } => {
-                let ext = ServasExtension::new(ServasConfig::paper_default(self.cores).with_masks(masks));
-                finish(System::new(cfg, traces, ext))
-            }
-            SecurityMode::Sealer { auth_interval } => {
-                let ext = SealerExtension::new(
-                    SealerConfig::paper_default(self.cores).with_auth_interval(auth_interval),
-                );
-                finish(System::new(cfg, traces, ext))
-            }
-            SecurityMode::Scattered { shares } => {
-                let ext = ScatteredExtension::new(
-                    ScatteredConfig::paper_default(self.cores).with_shares(shares),
-                );
-                finish(System::new(cfg, traces, ext))
-            }
-        }
+        let (stats, events, _) = self.simulate(NullSink);
+        (stats, events)
     }
 
     /// Like [`run`](JobSpec::run), but streams every simulator trace
@@ -589,49 +556,8 @@ impl JobSpec {
     /// bit-identical to an untraced [`run`](JobSpec::run) of the same
     /// spec.
     pub fn run_with_sink<S: TraceSink>(&self, sink: S) -> (Stats, S) {
-        fn finish<E: senss_sim::Extension, S: TraceSink>(mut sys: System<E, S>) -> (Stats, S) {
-            let stats = sys.run();
-            (stats, sys.into_sink())
-        }
-        let cfg = self.system_config();
-        let traces = self.traces();
-        match self.mode {
-            SecurityMode::Baseline => finish(System::with_sink(cfg, traces, NullExtension, sink)),
-            SecurityMode::Senss {
-                masks,
-                auth_interval,
-                cipher,
-            } => {
-                let ext = SenssExtension::new(self.senss_config(masks, auth_interval, cipher));
-                finish(System::with_sink(cfg, traces, ext, sink))
-            }
-            SecurityMode::Integrated {
-                masks,
-                auth_interval,
-                cipher,
-            } => {
-                let policy = MemProtPolicy::new(MemProtConfig::paper_default(self.cores));
-                let ext = SenssExtension::new(self.senss_config(masks, auth_interval, cipher))
-                    .with_memory_protection(policy);
-                finish(System::with_sink(cfg, traces, ext, sink))
-            }
-            SecurityMode::Servas { masks } => {
-                let ext = ServasExtension::new(ServasConfig::paper_default(self.cores).with_masks(masks));
-                finish(System::with_sink(cfg, traces, ext, sink))
-            }
-            SecurityMode::Sealer { auth_interval } => {
-                let ext = SealerExtension::new(
-                    SealerConfig::paper_default(self.cores).with_auth_interval(auth_interval),
-                );
-                finish(System::with_sink(cfg, traces, ext, sink))
-            }
-            SecurityMode::Scattered { shares } => {
-                let ext = ScatteredExtension::new(
-                    ScatteredConfig::paper_default(self.cores).with_shares(shares),
-                );
-                finish(System::with_sink(cfg, traces, ext, sink))
-            }
-        }
+        let (stats, _, sink) = self.simulate(sink);
+        (stats, sink)
     }
 
     /// Canonical rendering of everything that determines the result.
@@ -1090,7 +1016,6 @@ mod tests {
             ops_per_core: 500,
             seed: 0,
             capture: None,
-            scheduler: SchedulerKind::default(),
         }
         .run();
         assert!(stats.total_cycles > 0);

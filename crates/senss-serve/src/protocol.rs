@@ -755,6 +755,61 @@ mod tests {
         assert_eq!(err.0, ErrorClass::Malformed);
     }
 
+    /// A submit frame carrying one job built from raw fields.
+    fn submit_one(trace: senss_harness::TraceSpec, cores: usize, l2_bytes: usize) -> String {
+        let mut sweep = SweepSpec::new("bounds");
+        sweep.push(senss_harness::JobSpec::new(trace, cores, l2_bytes).with_ops(10));
+        Request::Submit {
+            sweep,
+            indices: None,
+        }
+        .encode()
+    }
+
+    #[test]
+    fn submit_rejects_machine_shapes_out_of_bounds() {
+        use senss_harness::{TraceSpec, MAX_CORES, MAX_L2_BYTES};
+        use senss_sim::config::MIN_L2_BYTES;
+        let fft = TraceSpec::Workload(Workload::Fft);
+        let rejected = [
+            (fft, 0, 1 << 20),
+            (fft, MAX_CORES + 1, 1 << 20),
+            (fft, 4, 0),
+            (fft, 4, 256),
+            (fft, 4, MIN_L2_BYTES / 2),
+            (fft, 4, (1 << 20) + 64),
+            (fft, 4, 3 << 20),
+            (fft, 4, MAX_L2_BYTES * 2),
+            (fft, 4, 1 << 40),
+            (TraceSpec::FalseSharing, 1, 1 << 20),
+            (TraceSpec::FalseSharing, 4, 1 << 20),
+        ];
+        for (trace, cores, l2) in rejected {
+            let err = Request::decode(&submit_one(trace, cores, l2)).unwrap_err();
+            assert_eq!(err.0, ErrorClass::Malformed, "{cores}P {l2}B");
+            assert!(err.1.contains("job 0"), "{}", err.1);
+        }
+        // The boundaries themselves are accepted.
+        let accepted = [
+            (fft, 1, 1 << 20),
+            (fft, MAX_CORES, 1 << 20),
+            (fft, 4, MIN_L2_BYTES),
+            (fft, 4, MAX_L2_BYTES),
+            (fft, 32, 4 << 20),
+            (TraceSpec::FalseSharing, 2, 1 << 20),
+            (TraceSpec::PingPong, MAX_CORES, MAX_L2_BYTES),
+        ];
+        for (trace, cores, l2) in accepted {
+            let frame = submit_one(trace, cores, l2);
+            match Request::decode(&frame) {
+                Ok(Request::Submit { sweep, .. }) => {
+                    assert_eq!((sweep.jobs[0].cores, sweep.jobs[0].l2_bytes), (cores, l2))
+                }
+                other => panic!("{cores}P {l2}B: {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn result_lines_round_trip_and_are_deterministic() {
         let spec = senss_harness::JobSpec::new(Workload::Lu, 2, 1 << 20).with_ops(300);

@@ -16,22 +16,8 @@ pub enum CoherenceProtocol {
     WriteUpdate,
 }
 
-/// Which event-queue implementation drives the simulation loop.
-///
-/// Purely a simulator-performance knob: every implementation pops
-/// events in identical `(time, seq)` order, so the choice is invisible
-/// in statistics, traces, and snapshots (which deliberately do not
-/// record it — a snapshot restores under the restoring config's
-/// scheduler).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SchedulerKind {
-    /// Binary heap keyed by a packed `(time << 64) | seq` integer.
-    #[default]
-    Heap,
-    /// Calendar queue (time wheel): events bucketed by time window,
-    /// popped by scanning forward from the current horizon.
-    Wheel,
-}
+/// Smallest L2 capacity [`SystemConfig::e6000`] accepts, in bytes.
+pub const MIN_L2_BYTES: usize = 64 << 10;
 
 /// Full architectural configuration of the simulated SMP.
 ///
@@ -77,9 +63,6 @@ pub struct SystemConfig {
     pub hash_latency: u64,
     /// Data coherence protocol for shared-line writes.
     pub coherence: CoherenceProtocol,
-    /// Event-queue implementation (simulator-performance knob; does not
-    /// affect simulated behaviour).
-    pub scheduler: SchedulerKind,
 }
 
 impl SystemConfig {
@@ -89,11 +72,11 @@ impl SystemConfig {
     /// # Panics
     ///
     /// Panics if `num_processors` is zero or `l2_size` is not a power of
-    /// two at least 64 KB.
+    /// two at least [`MIN_L2_BYTES`] (64 KB).
     pub fn e6000(num_processors: usize, l2_size: usize) -> SystemConfig {
         assert!(num_processors > 0, "need at least one processor");
         assert!(
-            l2_size.is_power_of_two() && l2_size >= (64 << 10),
+            l2_size.is_power_of_two() && l2_size >= MIN_L2_BYTES,
             "L2 size must be a power of two >= 64KB"
         );
         SystemConfig {
@@ -113,7 +96,6 @@ impl SystemConfig {
             aes_latency: 80,
             hash_latency: 160,
             coherence: CoherenceProtocol::WriteInvalidate,
-            scheduler: SchedulerKind::default(),
         }
     }
 
@@ -121,12 +103,6 @@ impl SystemConfig {
     /// ablation).
     pub fn with_coherence(mut self, coherence: CoherenceProtocol) -> SystemConfig {
         self.coherence = coherence;
-        self
-    }
-
-    /// Switches the event-queue implementation (see [`SchedulerKind`]).
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> SystemConfig {
-        self.scheduler = scheduler;
         self
     }
 

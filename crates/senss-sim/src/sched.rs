@@ -1,32 +1,11 @@
-//! Pluggable event-queue implementations for the simulation loop.
+//! The simulation loop's event queue.
 //!
 //! The simulator's hot loop is "pop the earliest event, process it,
-//! push a few more". Every implementation here pops in exactly
-//! `(time, seq)` ascending order — `seq` is unique per entry, so the
-//! order is total and the scheduler choice is invisible to simulated
-//! behaviour; it is selected per run via
-//! [`crate::config::SchedulerKind`] and benchmarked in `sim_hotpath`.
+//! push a few more". [`EventQueue`] pops in exactly `(time, seq)`
+//! ascending order — `seq` is unique per entry, so the order is total.
 //!
 //! Keys pack `(time << 64) | seq` into one `u128` so a comparison is a
 //! single wide integer compare.
-
-use crate::config::SchedulerKind;
-
-/// Minimum-first event queue keyed by packed `(time << 64) | seq`.
-pub(crate) trait Scheduler<T: Copy> {
-    /// Enqueues an entry.
-    fn push(&mut self, key: u128, item: T);
-    /// Pops the minimum-key entry.
-    fn pop(&mut self) -> Option<(u128, T)>;
-    /// Pops the minimum-key entry only if its time (`key >> 64`) is at
-    /// most `bound`; otherwise leaves the queue untouched.
-    fn pop_if(&mut self, bound: u64) -> Option<(u128, T)>;
-    /// Number of queued entries.
-    fn len(&self) -> usize;
-    /// Snapshot export: every queued entry, in arbitrary order (capture
-    /// sorts by key so equal states snapshot identically).
-    fn export(&self) -> Vec<(u128, T)>;
-}
 
 /// One heap entry; comparison is reversed so `BinaryHeap`'s max-heap
 /// behaves as the min-queue the simulation needs.
@@ -56,33 +35,36 @@ impl<T> Ord for HeapEntry<T> {
     }
 }
 
-/// The default scheduler: a binary heap of packed keys.
+/// Minimum-first event queue keyed by packed `(time << 64) | seq`: a
+/// binary heap of packed keys.
 #[derive(Debug, Clone)]
-pub(crate) struct HeapScheduler<T> {
+pub(crate) struct EventQueue<T> {
     heap: std::collections::BinaryHeap<HeapEntry<T>>,
 }
 
-impl<T> HeapScheduler<T> {
-    pub fn new() -> HeapScheduler<T> {
-        HeapScheduler {
+impl<T: Copy> EventQueue<T> {
+    pub fn new() -> EventQueue<T> {
+        EventQueue {
             heap: std::collections::BinaryHeap::new(),
         }
     }
-}
 
-impl<T: Copy> Scheduler<T> for HeapScheduler<T> {
+    /// Enqueues an entry.
     #[inline]
-    fn push(&mut self, key: u128, item: T) {
+    pub fn push(&mut self, key: u128, item: T) {
         self.heap.push(HeapEntry { key, item });
     }
 
+    /// Pops the minimum-key entry.
     #[inline]
-    fn pop(&mut self) -> Option<(u128, T)> {
+    pub fn pop(&mut self) -> Option<(u128, T)> {
         self.heap.pop().map(|e| (e.key, e.item))
     }
 
+    /// Pops the minimum-key entry only if its time (`key >> 64`) is at
+    /// most `bound`; otherwise leaves the queue untouched.
     #[inline]
-    fn pop_if(&mut self, bound: u64) -> Option<(u128, T)> {
+    pub fn pop_if(&mut self, bound: u64) -> Option<(u128, T)> {
         let peeked = self.heap.peek()?;
         if (peeked.key >> 64) as u64 > bound {
             return None;
@@ -90,190 +72,20 @@ impl<T: Copy> Scheduler<T> for HeapScheduler<T> {
         self.pop()
     }
 
-    fn len(&self) -> usize {
+    /// Number of queued entries.
+    pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    fn export(&self) -> Vec<(u128, T)> {
-        self.heap.iter().map(|e| (e.key, e.item)).collect()
-    }
-}
-
-/// Number of calendar buckets (a power of two).
-const WHEEL_BUCKETS: usize = 1024;
-/// log2 of the bucket time width: 64-cycle windows. One rotation spans
-/// `WHEEL_BUCKETS << WHEEL_SHIFT` = 65536 cycles, comfortably above any
-/// single-event latency in the model, so the global-scan fallback is
-/// essentially never taken.
-const WHEEL_SHIFT: u32 = 6;
-
-/// A calendar queue (time wheel): events live in the bucket of their
-/// time window (`(time >> WHEEL_SHIFT) % WHEEL_BUCKETS`); popping scans
-/// forward from a monotone `horizon` lower bound, taking the minimum
-/// key within the first non-empty window. Empty windows advance the
-/// horizon as they are passed, so each window is skipped at most once —
-/// pops are O(bucket population), not O(queue length), and pushes are
-/// O(1).
-#[derive(Debug, Clone)]
-pub(crate) struct WheelScheduler<T> {
-    buckets: Vec<Vec<(u128, T)>>,
-    len: usize,
-    /// Lower bound on the minimum queued time.
-    horizon: u64,
-}
-
-impl<T> WheelScheduler<T> {
-    pub fn new() -> WheelScheduler<T> {
-        WheelScheduler {
-            buckets: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
-            len: 0,
-            horizon: 0,
-        }
-    }
-
-    #[inline]
-    fn bucket_of(time: u64) -> usize {
-        ((time >> WHEEL_SHIFT) as usize) & (WHEEL_BUCKETS - 1)
-    }
-}
-
-impl<T: Copy> Scheduler<T> for WheelScheduler<T> {
-    #[inline]
-    fn push(&mut self, key: u128, item: T) {
-        let time = (key >> 64) as u64;
-        if time < self.horizon {
-            self.horizon = time;
-        }
-        self.buckets[Self::bucket_of(time)].push((key, item));
-        self.len += 1;
-    }
-
-    fn pop(&mut self) -> Option<(u128, T)> {
-        self.pop_if(u64::MAX)
-    }
-
-    fn pop_if(&mut self, bound: u64) -> Option<(u128, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut window = self.horizon >> WHEEL_SHIFT;
-        for _ in 0..WHEEL_BUCKETS {
-            let b = (window as usize) & (WHEEL_BUCKETS - 1);
-            let bucket = &self.buckets[b];
-            let mut best: Option<usize> = None;
-            for (i, &(key, _)) in bucket.iter().enumerate() {
-                if ((key >> 64) as u64) >> WHEEL_SHIFT == window
-                    && best.is_none_or(|bi| key < bucket[bi].0)
-                {
-                    best = Some(i);
-                }
-            }
-            if let Some(i) = best {
-                let time = (bucket[i].0 >> 64) as u64;
-                // The found entry IS the queue minimum, so the horizon
-                // may advance to it even when the pop is refused.
-                self.horizon = time;
-                if time > bound {
-                    return None;
-                }
-                self.len -= 1;
-                return Some(self.buckets[b].swap_remove(i));
-            }
-            // No event anywhere in this window (any such event would
-            // hash to exactly this bucket): safe to skip past it.
-            window += 1;
-            self.horizon = window << WHEEL_SHIFT;
-        }
-        // A full rotation found nothing: the next event is more than one
-        // rotation ahead. Locate it with a global scan (cold path).
-        let mut best: Option<(usize, usize)> = None;
-        let mut best_key = u128::MAX;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, &(key, _)) in bucket.iter().enumerate() {
-                if key < best_key {
-                    best_key = key;
-                    best = Some((b, i));
-                }
-            }
-        }
-        let (b, i) = best.expect("len > 0 but no entry found");
-        let time = (best_key >> 64) as u64;
-        self.horizon = time;
-        if time > bound {
-            return None;
-        }
-        self.len -= 1;
-        Some(self.buckets[b].swap_remove(i))
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn export(&self) -> Vec<(u128, T)> {
-        self.buckets.iter().flatten().copied().collect()
-    }
-}
-
-/// The configured event queue: enum dispatch (a predictable two-way
-/// branch per operation, no virtual calls, no extra generic parameter
-/// on [`crate::system::System`]).
-#[derive(Debug, Clone)]
-pub(crate) enum EventQueue<T> {
-    Heap(HeapScheduler<T>),
-    Wheel(WheelScheduler<T>),
-}
-
-impl<T: Copy> EventQueue<T> {
-    pub fn new(kind: SchedulerKind) -> EventQueue<T> {
-        match kind {
-            SchedulerKind::Heap => EventQueue::Heap(HeapScheduler::new()),
-            SchedulerKind::Wheel => EventQueue::Wheel(WheelScheduler::new()),
-        }
-    }
-
+    /// Whether no entry is queued.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T: Copy> Scheduler<T> for EventQueue<T> {
-    #[inline]
-    fn push(&mut self, key: u128, item: T) {
-        match self {
-            EventQueue::Heap(s) => s.push(key, item),
-            EventQueue::Wheel(s) => s.push(key, item),
-        }
+        self.heap.is_empty()
     }
 
-    #[inline]
-    fn pop(&mut self) -> Option<(u128, T)> {
-        match self {
-            EventQueue::Heap(s) => s.pop(),
-            EventQueue::Wheel(s) => s.pop(),
-        }
-    }
-
-    #[inline]
-    fn pop_if(&mut self, bound: u64) -> Option<(u128, T)> {
-        match self {
-            EventQueue::Heap(s) => s.pop_if(bound),
-            EventQueue::Wheel(s) => s.pop_if(bound),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(s) => s.len(),
-            EventQueue::Wheel(s) => s.len(),
-        }
-    }
-
-    fn export(&self) -> Vec<(u128, T)> {
-        match self {
-            EventQueue::Heap(s) => s.export(),
-            EventQueue::Wheel(s) => s.export(),
-        }
+    /// Snapshot export: every queued entry, in arbitrary order (capture
+    /// sorts by key so equal states snapshot identically).
+    pub fn export(&self) -> Vec<(u128, T)> {
+        self.heap.iter().map(|e| (e.key, e.item)).collect()
     }
 }
 
@@ -286,16 +98,35 @@ mod tests {
         ((time as u128) << 64) | seq as u128
     }
 
-    /// Both schedulers pop any workload in identical `(time, seq)`
-    /// order — simulation-shaped (mostly monotone pushes, occasional
-    /// same-time bursts) plus adversarial jumps past a full wheel
-    /// rotation to force the fallback scan.
+    /// Reference model: a `Vec` kept sorted by key, popped from the
+    /// front.
+    #[derive(Default)]
+    struct SortedVec(Vec<(u128, u64)>);
+
+    impl SortedVec {
+        fn push(&mut self, key: u128, item: u64) {
+            let at = self.0.partition_point(|&(k, _)| k < key);
+            self.0.insert(at, (key, item));
+        }
+
+        fn pop_if(&mut self, bound: u64) -> Option<(u128, u64)> {
+            let &(k, _) = self.0.first()?;
+            if (k >> 64) as u64 > bound {
+                return None;
+            }
+            Some(self.0.remove(0))
+        }
+    }
+
+    /// The heap pops any workload in exactly the order of a sorted-`Vec`
+    /// reference — simulation-shaped (mostly monotone pushes, occasional
+    /// same-time bursts) plus occasional far-future jumps.
     #[test]
-    fn wheel_and_heap_pop_identically() {
+    fn heap_pops_like_a_sorted_vec() {
         let mut rng = SplitMix64::new(0x5C4E);
         for round in 0..16 {
-            let mut heap: HeapScheduler<u64> = HeapScheduler::new();
-            let mut wheel: WheelScheduler<u64> = WheelScheduler::new();
+            let mut heap: EventQueue<u64> = EventQueue::new();
+            let mut reference = SortedVec::default();
             let mut now = 0u64;
             let mut seq = 0u64;
             for _ in 0..3_000 {
@@ -303,40 +134,39 @@ mod tests {
                     // Push a near-future event (latency-shaped).
                     0..=2 => {
                         let delta = rng.next_below(200);
-                        // Occasionally jump far beyond one rotation.
+                        // Occasionally jump far into the future.
                         let delta = if round % 3 == 0 && rng.next_below(100) == 0 {
-                            delta + (WHEEL_BUCKETS as u64) * (1 << WHEEL_SHIFT) * 3
+                            delta + 200_000
                         } else {
                             delta
                         };
                         seq += 1;
                         let k = key(now + delta, seq);
                         heap.push(k, seq);
-                        wheel.push(k, seq);
+                        reference.push(k, seq);
                     }
                     3 => {
-                        let got = wheel.pop();
-                        assert_eq!(got, heap.pop());
+                        let got = heap.pop();
+                        assert_eq!(got, reference.pop_if(u64::MAX));
                         if let Some((k, _)) = got {
                             now = (k >> 64) as u64;
                         }
                     }
                     _ => {
                         let bound = now + rng.next_below(300);
-                        let got = wheel.pop_if(bound);
-                        assert_eq!(got, heap.pop_if(bound));
+                        let got = heap.pop_if(bound);
+                        assert_eq!(got, reference.pop_if(bound));
                         if let Some((k, _)) = got {
                             now = (k >> 64) as u64;
                         }
                     }
                 }
-                assert_eq!(wheel.len(), heap.len());
+                assert_eq!(heap.len(), reference.0.len());
             }
             // Drain: the tails must agree exactly.
             loop {
-                let a = wheel.pop();
-                let b = heap.pop();
-                assert_eq!(a, b);
+                let a = heap.pop();
+                assert_eq!(a, reference.pop_if(u64::MAX));
                 if a.is_none() {
                     break;
                 }
@@ -348,38 +178,23 @@ mod tests {
     /// and exports carry every queued entry.
     #[test]
     fn pop_if_refusal_and_export() {
-        for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-            let mut q: EventQueue<u64> = EventQueue::new(kind);
-            q.push(key(100, 1), 1);
-            q.push(key(50, 2), 2);
-            q.push(key(100, 3), 3);
-            assert_eq!(q.pop_if(40), None, "{kind:?}: nothing due at 40");
-            assert_eq!(q.len(), 3);
-            let mut exported = q.export();
-            exported.sort_unstable_by_key(|&(k, _)| k);
-            assert_eq!(
-                exported,
-                vec![(key(50, 2), 2), (key(100, 1), 1), (key(100, 3), 3)]
-            );
-            assert_eq!(q.pop_if(50), Some((key(50, 2), 2)));
-            // Same-time entries pop in seq order.
-            assert_eq!(q.pop(), Some((key(100, 1), 1)));
-            assert_eq!(q.pop(), Some((key(100, 3), 3)));
-            assert_eq!(q.pop(), None);
-            assert!(q.is_empty());
-        }
-    }
-
-    /// Pushing an event earlier than the wheel's horizon (a refused
-    /// `pop_if` advances it) must pull the horizon back so the new
-    /// event is found.
-    #[test]
-    fn wheel_handles_push_below_horizon() {
-        let mut wheel: WheelScheduler<u64> = WheelScheduler::new();
-        wheel.push(key(10_000, 1), 1);
-        assert_eq!(wheel.pop_if(5_000), None); // horizon advances to 10_000
-        wheel.push(key(200, 2), 2);
-        assert_eq!(wheel.pop(), Some((key(200, 2), 2)));
-        assert_eq!(wheel.pop(), Some((key(10_000, 1), 1)));
+        let mut q: EventQueue<u64> = EventQueue::new();
+        q.push(key(100, 1), 1);
+        q.push(key(50, 2), 2);
+        q.push(key(100, 3), 3);
+        assert_eq!(q.pop_if(40), None, "nothing due at 40");
+        assert_eq!(q.len(), 3);
+        let mut exported = q.export();
+        exported.sort_unstable_by_key(|&(k, _)| k);
+        assert_eq!(
+            exported,
+            vec![(key(50, 2), 2), (key(100, 1), 1), (key(100, 3), 3)]
+        );
+        assert_eq!(q.pop_if(50), Some((key(50, 2), 2)));
+        // Same-time entries pop in seq order.
+        assert_eq!(q.pop(), Some((key(100, 1), 1)));
+        assert_eq!(q.pop(), Some((key(100, 3), 3)));
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
     }
 }

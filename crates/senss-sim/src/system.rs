@@ -32,7 +32,7 @@ use crate::config::{CoherenceProtocol, SystemConfig};
 use crate::core::{Core, CoreState};
 use crate::extension::{Extension, FollowUp};
 use crate::mesi::MesiState;
-use crate::sched::{EventQueue, Scheduler};
+use crate::sched::EventQueue;
 use crate::state::{
     ArbiterSnap, CacheSnap, ChainSnap, CoreSnap, CoreStateSnap, EventKindSnap, EventSnap,
     LineSnap, PurposeSnap, StepSnap, SystemState, TxnSlotSnap,
@@ -141,9 +141,8 @@ pub struct System<E, S = NullSink> {
     arbiter: Arbiter,
     ext: E,
     stats: Stats,
-    /// Pending simulation events, keyed by packed `(time << 64) | seq`.
-    /// The implementation is chosen by `cfg.scheduler`; every choice pops
-    /// in identical order (see [`crate::sched`]).
+    /// Pending simulation events, keyed by packed `(time << 64) | seq`
+    /// (see [`crate::sched`]).
     events: EventQueue<Event>,
     seq: u64,
     bus_next_free: u64,
@@ -237,7 +236,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             sharers: SharerIndex::new(n),
             ext,
             stats: Stats::default(),
-            events: EventQueue::new(cfg.scheduler),
+            events: EventQueue::new(),
             seq: 0,
             bus_next_free: 0,
             grant_scheduled: false,
@@ -682,11 +681,7 @@ impl<E: Extension, S: TraceSink> System<E, S> {
             state.arbiter.injected.clone(),
             state.arbiter.last_granted,
         );
-        // The scheduler kind cannot affect simulated behaviour, so the
-        // text codec does not record it: a decoded snapshot restores
-        // under the default scheduler; an in-memory capture keeps the
-        // original config's choice.
-        let mut events = EventQueue::new(cfg.scheduler);
+        let mut events = EventQueue::new();
         for e in &state.events {
             events.push(
                 ((e.time as u128) << 64) | e.seq as u128,

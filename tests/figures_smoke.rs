@@ -2,13 +2,29 @@
 //! path runs at reduced scale and its qualitative *shape* holds.
 
 use senss::mask::PERFECT_MASKS;
-use senss::secure_bus::{SenssConfig, SenssExtension};
+use senss::secure_bus::{CipherMode, SenssExtension};
 use senss::shu::{BitMatrix, GroupInfoTable};
-use senss_bench::{overhead, Point};
+use senss_bench::overhead;
+use senss_harness::{JobSpec, SecurityMode, TraceSpec};
 use senss_workloads::Workload;
 
 const OPS: usize = 4_000;
 const SEED: u64 = 42;
+
+/// The baseline job at a machine shape, at smoke scale.
+fn job(trace: impl Into<TraceSpec>, cores: usize, l2: usize) -> JobSpec {
+    JobSpec::new(trace, cores, l2).with_ops(OPS).with_seed(SEED)
+}
+
+/// SENSS bus security with the given mask count and auth interval
+/// (CBC, the paper's cipher).
+fn senss(masks: usize, auth_interval: u64) -> SecurityMode {
+    SecurityMode::Senss {
+        masks,
+        auth_interval,
+        cipher: CipherMode::CbcTwoPass,
+    }
+}
 
 #[test]
 fn hw_overhead_numbers_match_the_paper() {
@@ -25,9 +41,9 @@ fn fig06_shape_slowdowns_are_small() {
     for &l2 in &[1usize << 20, 4 << 20] {
         for &cores in &[2usize, 4] {
             for w in [Workload::Fft, Workload::Ocean] {
-                let p = Point::new(w, cores, l2);
-                let base = p.run_baseline(OPS, SEED);
-                let sec = p.run_senss(OPS, SEED, SenssConfig::paper_default(cores));
+                let p = job(w, cores, l2);
+                let base = p.run();
+                let sec = p.with_mode(SecurityMode::senss()).run();
                 let o = overhead(&sec, &base);
                 assert!(
                     o.slowdown_pct < 3.0,
@@ -41,15 +57,15 @@ fn fig06_shape_slowdowns_are_small() {
 
 #[test]
 fn fig07_shape_four_masks_close_to_perfect_one_mask_worse() {
-    let p = Point::new(Workload::Fft, 4, 4 << 20);
-    let base = p.run_baseline(OPS, SEED);
-    let run = |masks: usize| {
-        let s = p.run_senss(OPS, SEED, SenssConfig::paper_default(4).with_masks(masks));
+    let p = job(Workload::Fft, 4, 4 << 20);
+    let base = p.run();
+    let with_masks = |masks: usize| {
+        let s = p.with_mode(senss(masks, 100)).run();
         (overhead(&s, &base).slowdown_pct, s.mask_stall_cycles)
     };
-    let (_, stall_perfect) = run(PERFECT_MASKS);
-    let (_, stall4) = run(4);
-    let (_, stall1) = run(1);
+    let (_, stall_perfect) = with_masks(PERFECT_MASKS);
+    let (_, stall4) = with_masks(4);
+    let (_, stall1) = with_masks(1);
     assert_eq!(stall_perfect, 0);
     assert!(stall1 > stall4, "1 mask must stall more: {stall1} vs {stall4}");
 }
@@ -57,9 +73,9 @@ fn fig07_shape_four_masks_close_to_perfect_one_mask_worse() {
 #[test]
 fn fig08_shape_interval_100_traffic_below_one_percent() {
     for w in Workload::all() {
-        let p = Point::new(w, 4, 1 << 20);
-        let base = p.run_baseline(OPS, SEED);
-        let sec = p.run_senss(OPS, SEED, SenssConfig::paper_default(4));
+        let p = job(w, 4, 1 << 20);
+        let base = p.run();
+        let sec = p.with_mode(SecurityMode::senss()).run();
         let o = overhead(&sec, &base);
         assert!(
             o.traffic_pct < 1.5,
@@ -71,14 +87,10 @@ fn fig08_shape_interval_100_traffic_below_one_percent() {
 
 #[test]
 fn fig09_shape_traffic_scales_inversely_with_interval() {
-    let p = Point::new(Workload::Ocean, 4, 4 << 20);
-    let base = p.run_baseline(OPS, SEED);
+    let p = job(Workload::Ocean, 4, 4 << 20);
+    let base = p.run();
     let traffic = |interval: u64| {
-        let s = p.run_senss(
-            OPS,
-            SEED,
-            SenssConfig::paper_default(4).with_auth_interval(interval),
-        );
+        let s = p.with_mode(senss(8, interval)).run();
         overhead(&s, &base).traffic_pct
     };
     let t100 = traffic(100);
@@ -93,10 +105,10 @@ fn fig09_shape_traffic_scales_inversely_with_interval() {
 
 #[test]
 fn fig10_shape_integrated_dominates() {
-    let p = Point::new(Workload::Lu, 4, 1 << 20);
-    let base = p.run_baseline(OPS, SEED);
-    let senss_only = p.run_senss(OPS, SEED, SenssConfig::paper_default(4));
-    let integrated = p.run_integrated(OPS, SEED, SenssConfig::paper_default(4));
+    let p = job(Workload::Lu, 4, 1 << 20);
+    let base = p.run();
+    let senss_only = p.with_mode(SecurityMode::senss()).run();
+    let integrated = p.with_mode(SecurityMode::integrated()).run();
     let o_s = overhead(&senss_only, &base);
     let o_i = overhead(&integrated, &base);
     assert!(o_i.slowdown_pct > o_s.slowdown_pct);
@@ -108,16 +120,9 @@ fn fig10_shape_integrated_dominates() {
 fn fig11_shape_senss_changes_interleaving() {
     // The §7.8 variability mechanism: SENSS timing shifts hit/miss
     // patterns on false sharing.
-    use senss_sim::{NullExtension, System, SystemConfig};
-    use senss_workloads::micro;
-    let cfg = SystemConfig::e6000(2, 1 << 20);
-    let base = System::new(cfg.clone(), micro::false_sharing(1_500), NullExtension).run();
-    let sec = System::new(
-        cfg,
-        micro::false_sharing(1_500),
-        SenssExtension::new(SenssConfig::paper_default(2).with_auth_interval(1)),
-    )
-    .run();
+    let p = job(TraceSpec::FalseSharing, 2, 1 << 20).with_ops(1_500);
+    let base = p.run();
+    let sec = p.with_mode(senss(8, 1)).run();
     assert!(
         base.l1_hits != sec.l1_hits
             || base.cache_to_cache_transfers != sec.cache_to_cache_transfers
